@@ -1,6 +1,6 @@
 //! Machine-readable routing baseline: cold vs. warm-cache ns/route on a
-//! hot-spot workload, for both the greedy mesh walk and the two-phase
-//! express engine, written to `BENCH_routing.json`.
+//! hot-spot and a uniform-target query stream, for both the greedy mesh
+//! walk and the two-phase express engine, written to `BENCH_routing.json`.
 //!
 //! Regenerate with exactly one command (from the repo root):
 //!
@@ -13,15 +13,18 @@
 //! regions; `GEOGRID_BENCH_ROUTES` overrides the per-size query count
 //! (default 20,000). A non-numeric argument names the output file.
 //!
-//! *Cold* routes through `routing::route_uncached` (per-query `HashSet`
-//! and `Vec`s, nothing shared between queries); *warm* routes the same
-//! query stream through one persistent `Router` — once with the
-//! paper-faithful greedy `RouteOptions::greedy()` (hop-for-hop identical
-//! to cold, so the ratio isolates engine overhead) and once with
-//! `RouteOptions::express()`, whose express-finger descent shortens
-//! long paths to O(log N) hops before handing off to the same greedy
-//! walk. Each variant's hops-vs-N scaling exponent is fitted by
-//! least squares on the log-log sweep.
+//! Every size runs every stream in [`STREAMS`]. *Cold* routes through
+//! `routing::route_uncached` (per-query `HashSet` and `Vec`s, nothing
+//! shared between queries); *warm* routes the same query stream through
+//! one persistent `Router` — once with the paper-faithful greedy
+//! `RouteOptions::greedy()` (hop-for-hop identical to cold, so the ratio
+//! isolates engine overhead) and once with `RouteOptions::express()`,
+//! whose express-finger descent shortens long paths to O(log N) hops
+//! before handing off to the same greedy walk. Each cold and warm timing
+//! is a full sweep repeated [`REPEATS`] times; rows report the median and
+//! the min/max, with the host's core count and the commit measured. Each
+//! variant's hops-vs-N scaling exponent is fitted by least squares on the
+//! log-log sweep of the hot-spot stream.
 
 use std::time::Instant;
 
@@ -29,7 +32,7 @@ use geogrid_bench::common::build_network;
 use geogrid_bench::ExperimentConfig;
 use geogrid_core::builder::Mode;
 use geogrid_core::routing::{self, RouteOptions, Router};
-use geogrid_core::RegionId;
+use geogrid_core::{RegionId, Topology};
 use geogrid_geometry::Point;
 
 /// Default network sizes swept (basic mode: regions == nodes).
@@ -38,84 +41,164 @@ const DEFAULT_SIZES: [usize; 5] = [1_024, 4_096, 16_384, 65_536, 1_048_576];
 /// Default routed queries measured per size.
 const DEFAULT_ROUTES: usize = 20_000;
 
+/// Timed sweeps per cold and per warm measurement.
+const REPEATS: usize = 5;
+
 /// Fixed hot points in the hot-spot square.
 const HOT_POINTS: u64 = 64;
+
+/// A deterministic query stream: the target of the `i`-th query.
+type Stream = fn(u64) -> Point;
+
+/// The query streams every size is measured on.
+const STREAMS: [(&str, Stream); 2] = [("hotspot", hotspot_target), ("uniform", uniform_target)];
+
+/// The `i`-th point of a deterministic Weyl sequence over the unit square.
+fn weyl_unit(i: u64) -> (f64, f64) {
+    let u = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64;
+    let v = (i.wrapping_mul(0xD1B5_4A32_D192_ED03) >> 11) as f64 / (1u64 << 53) as f64;
+    (u, v)
+}
 
 /// Hot-spot query stream (paper §4): 80% of queries target one of
 /// [`HOT_POINTS`] fixed places inside a 2-mile square — location queries
 /// name concrete destinations ("the traffic around Exit 89"), so the hot
 /// stream repeats exact coordinates — and the rest probe uniform points
-/// over the plane. Weyl sequences keep the stream deterministic.
+/// over the plane.
 fn hotspot_target(i: u64) -> Point {
     if i.is_multiple_of(5) {
-        let u = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64;
-        let v = (i.wrapping_mul(0xD1B5_4A32_D192_ED03) >> 11) as f64 / (1u64 << 53) as f64;
-        Point::new(u * 64.0, v * 64.0)
+        uniform_target(i)
     } else {
         let k = i.wrapping_mul(0xD1B5_4A32_D192_ED03) % HOT_POINTS + 1;
-        let u = (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64;
-        let v = (k.wrapping_mul(0xD1B5_4A32_D192_ED03) >> 11) as f64 / (1u64 << 53) as f64;
+        let (u, v) = weyl_unit(k);
         Point::new(46.0 + 2.0 * u, 46.0 + 2.0 * v)
     }
 }
 
+/// Uniform-target stream: every query of a sweep names a fresh point
+/// spread over the whole 64×64 plane. Sweeps replay the stream, so a
+/// target recurs only `routes` queries later — at the default count,
+/// long after the route cache's recurrence table has forgotten it.
+fn uniform_target(i: u64) -> Point {
+    let (u, v) = weyl_unit(i);
+    Point::new(u * 64.0, v * 64.0)
+}
+
 struct Row {
     regions: usize,
+    stream: &'static str,
     variant: &'static str,
     express: bool,
-    cold_ns_per_route: f64,
-    warm_ns_per_route: f64,
+    cold: Spread,
+    warm: Spread,
     hops_mean: f64,
     cache_hit_rate: f64,
     express_prefix_mean: f64,
 }
 
-/// One warm pass of `routes` queries through the given engine: a full
-/// cache-warming sweep, then the timed sweep. Returns
-/// (ns/route, total hops, total express-prefix hops, hit rate).
-fn warm_pass(
-    topo: &geogrid_core::Topology,
+/// Median, min and max ns/route over the [`REPEATS`] timed sweeps.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Self {
+        samples.sort_by(f64::total_cmp);
+        Self {
+            median: samples[samples.len() / 2],
+            min: samples[0],
+            max: samples[samples.len() - 1],
+        }
+    }
+}
+
+/// The `i`-th `(source, target)` pair of `stream`.
+fn pair(sources: &[RegionId], stream: Stream, i: u64) -> (RegionId, Point) {
+    (
+        sources[(i as usize).wrapping_mul(7) % sources.len()],
+        stream(i),
+    )
+}
+
+/// Times [`REPEATS`] runs of `sweep` (one pass over `routes` queries
+/// returning its totals) and asserts every run returns the same totals.
+/// Returns (ns/route spread, totals of one sweep).
+fn timed_sweeps<T: Copy + PartialEq + std::fmt::Debug>(
+    routes: usize,
+    mut sweep: impl FnMut() -> T,
+) -> (Spread, T) {
+    let mut samples = Vec::with_capacity(REPEATS);
+    let mut first = None;
+    for _ in 0..REPEATS {
+        let start = Instant::now();
+        let totals = sweep();
+        samples.push(start.elapsed().as_nanos() as f64 / routes as f64);
+        assert_eq!(*first.get_or_insert(totals), totals, "sweeps diverged");
+    }
+    (Spread::of(samples), first.expect("REPEATS > 0"))
+}
+
+/// Cold passes of `routes` queries through the allocating reference.
+/// Returns (ns/route spread, total hops of one sweep).
+fn cold_passes(
+    topo: &Topology,
     sources: &[RegionId],
+    stream: Stream,
+    routes: usize,
+) -> (Spread, usize) {
+    timed_sweeps(routes, || {
+        (1..=routes as u64)
+            .map(|i| {
+                let (from, target) = pair(sources, stream, i);
+                routing::route_uncached(topo, from, target)
+                    .expect("routable")
+                    .hop_count()
+            })
+            .sum()
+    })
+}
+
+/// Warm passes of `routes` queries through the given engine: a full
+/// cache-warming sweep, then [`REPEATS`] timed sweeps on the same
+/// `Router`. Returns (ns/route spread, total hops and total
+/// express-prefix hops of one sweep, hit rate over the timed sweeps).
+fn warm_passes(
+    topo: &Topology,
+    sources: &[RegionId],
+    stream: Stream,
     routes: usize,
     express: bool,
-) -> (f64, usize, usize, f64) {
-    let pair = |i: u64| {
-        (
-            sources[(i as usize).wrapping_mul(7) % sources.len()],
-            hotspot_target(i),
-        )
-    };
+) -> (Spread, usize, usize, f64) {
     let mut router = Router::new();
     let options = if express {
         RouteOptions::express()
     } else {
         RouteOptions::greedy()
     };
-    let run = |router: &mut Router, from, target| {
-        router
-            .route(topo, from, target, &options)
-            .expect("routable")
+    let sweep = |router: &mut Router| {
+        let (mut hops, mut prefix) = (0usize, 0usize);
+        for i in 1..=routes as u64 {
+            let (from, target) = pair(sources, stream, i);
+            router
+                .route(topo, from, target, &options)
+                .expect("routable");
+            hops += router.hop_count();
+            prefix += router.express_prefix();
+        }
+        (hops, prefix)
     };
-    for i in 1..=routes as u64 {
-        let (from, target) = pair(i);
-        run(&mut router, from, target);
-    }
+    sweep(&mut router);
     router.reset_stats();
-    let start = Instant::now();
-    let (mut hops, mut prefix) = (0usize, 0usize);
-    for i in 1..=routes as u64 {
-        let (from, target) = pair(i);
-        run(&mut router, from, target);
-        hops += router.hop_count();
-        prefix += router.express_prefix();
-    }
-    let ns = start.elapsed().as_nanos() as f64 / routes as f64;
-    (ns, hops, prefix, router.hit_rate())
+    let (spread, (hops, prefix)) = timed_sweeps(routes, || sweep(&mut router));
+    (spread, hops, prefix, router.hit_rate())
 }
 
-/// Measures one network size: a shared cold reference pass, then a warm
-/// greedy row and a warm express row.
-fn measure(config: &ExperimentConfig, n: usize, routes: usize) -> [Row; 2] {
+/// Measures one network size: per stream, a shared cold reference
+/// measurement, then a warm greedy row and a warm express row.
+fn measure(config: &ExperimentConfig, n: usize, routes: usize) -> Vec<Row> {
     eprintln!("routing_bench: building {n}-region network...");
     let built = Instant::now();
     let topo = build_network(config, Mode::Basic, n, 0);
@@ -124,49 +207,45 @@ fn measure(config: &ExperimentConfig, n: usize, routes: usize) -> [Row; 2] {
         built.elapsed().as_secs_f64()
     );
     let sources: Vec<RegionId> = topo.region_ids().collect();
-
-    // Cold: the allocating reference, nothing carried between queries.
-    let start = Instant::now();
-    let mut cold_hops = 0usize;
-    for i in 1..=routes as u64 {
-        let from = sources[(i as usize).wrapping_mul(7) % sources.len()];
-        cold_hops += routing::route_uncached(&topo, from, hotspot_target(i))
-            .expect("routable")
-            .hop_count();
-    }
-    let cold_ns = start.elapsed().as_nanos() as f64 / routes as f64;
-
-    let (greedy_ns, greedy_hops, _, greedy_hits) = warm_pass(&topo, &sources, routes, false);
-    assert_eq!(cold_hops, greedy_hops, "engines must walk identical paths");
-    let (express_ns, express_hops, express_prefix, express_hits) =
-        warm_pass(&topo, &sources, routes, true);
-    assert!(
-        express_hops <= cold_hops,
-        "express walked {express_hops} total hops vs greedy {cold_hops}"
-    );
-
-    [
-        Row {
+    let mut rows = Vec::new();
+    for (name, stream) in STREAMS {
+        let (cold, cold_hops) = cold_passes(&topo, &sources, stream, routes);
+        let (greedy, greedy_hops, _, greedy_hits) =
+            warm_passes(&topo, &sources, stream, routes, false);
+        assert_eq!(
+            cold_hops, greedy_hops,
+            "{name}: engines must walk identical paths"
+        );
+        let (express, express_hops, express_prefix, express_hits) =
+            warm_passes(&topo, &sources, stream, routes, true);
+        assert!(
+            express_hops <= cold_hops,
+            "{name}: express walked {express_hops} total hops vs greedy {cold_hops}"
+        );
+        rows.push(Row {
             regions: n,
+            stream: name,
             variant: "greedy",
             express: false,
-            cold_ns_per_route: cold_ns,
-            warm_ns_per_route: greedy_ns,
+            cold,
+            warm: greedy,
             hops_mean: greedy_hops as f64 / routes as f64,
             cache_hit_rate: greedy_hits,
             express_prefix_mean: 0.0,
-        },
-        Row {
+        });
+        rows.push(Row {
             regions: n,
+            stream: name,
             variant: "express",
             express: true,
-            cold_ns_per_route: cold_ns,
-            warm_ns_per_route: express_ns,
+            cold,
+            warm: express,
             hops_mean: express_hops as f64 / routes as f64,
             cache_hit_rate: express_hits,
             express_prefix_mean: express_prefix as f64 / routes as f64,
-        },
-    ]
+        });
+    }
+    rows
 }
 
 /// Least-squares slope of ln(hops_mean) against ln(regions): the fitted
@@ -212,8 +291,26 @@ fn parse_config() -> (Vec<usize>, usize, String) {
     (sizes, routes, out)
 }
 
+/// The commit being measured (`git describe --always --dirty`), or
+/// `"unknown"` outside a git checkout.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn main() {
     let (sizes, routes, path) = parse_config();
+    let nproc = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let commit = commit();
     let config = ExperimentConfig::default();
     let rows: Vec<Row> = sizes
         .iter()
@@ -221,11 +318,13 @@ fn main() {
         .collect();
 
     println!(
-        "{:>8} {:>8} {:>14} {:>14} {:>9} {:>10} {:>11} {:>9}",
+        "{:>8} {:>8} {:>8} {:>14} {:>14} {:>16} {:>9} {:>10} {:>11} {:>9}",
         "regions",
+        "stream",
         "variant",
         "cold_ns/route",
         "warm_ns/route",
+        "warm_min..max",
         "speedup",
         "hops_mean",
         "expr_prefix",
@@ -233,25 +332,32 @@ fn main() {
     );
     let mut entries = Vec::new();
     for r in &rows {
-        let speedup = r.cold_ns_per_route / r.warm_ns_per_route;
+        let speedup = r.cold.median / r.warm.median;
         println!(
-            "{:>8} {:>8} {:>14.0} {:>14.0} {:>8.1}x {:>10.2} {:>11.2} {:>9.3}",
+            "{:>8} {:>8} {:>8} {:>14.0} {:>14.0} {:>16} {:>8.1}x {:>10.2} {:>11.2} {:>9.3}",
             r.regions,
+            r.stream,
             r.variant,
-            r.cold_ns_per_route,
-            r.warm_ns_per_route,
+            r.cold.median,
+            r.warm.median,
+            format!("{:.0}..{:.0}", r.warm.min, r.warm.max),
             speedup,
             r.hops_mean,
             r.express_prefix_mean,
             r.cache_hit_rate
         );
         entries.push(format!(
-            "    {{\n      \"regions\": {},\n      \"variant\": \"{}\",\n      \"express\": {},\n      \"cold_ns_per_route\": {:.1},\n      \"warm_ns_per_route\": {:.1},\n      \"speedup\": {:.2},\n      \"hops_mean\": {:.3},\n      \"express_prefix_mean\": {:.3},\n      \"cache_hit_rate\": {:.4}\n    }}",
+            "    {{\n      \"regions\": {},\n      \"stream\": \"{}\",\n      \"variant\": \"{}\",\n      \"express\": {},\n      \"repeats\": {REPEATS},\n      \"cold_ns_per_route\": {:.1},\n      \"cold_ns_min\": {:.1},\n      \"cold_ns_max\": {:.1},\n      \"warm_ns_per_route\": {:.1},\n      \"warm_ns_min\": {:.1},\n      \"warm_ns_max\": {:.1},\n      \"speedup\": {:.2},\n      \"hops_mean\": {:.3},\n      \"express_prefix_mean\": {:.3},\n      \"cache_hit_rate\": {:.4},\n      \"nproc\": {nproc},\n      \"commit\": \"{commit}\"\n    }}",
             r.regions,
+            r.stream,
             r.variant,
             r.express,
-            r.cold_ns_per_route,
-            r.warm_ns_per_route,
+            r.cold.median,
+            r.cold.min,
+            r.cold.max,
+            r.warm.median,
+            r.warm.min,
+            r.warm.max,
             speedup,
             r.hops_mean,
             r.express_prefix_mean,
@@ -260,7 +366,10 @@ fn main() {
     }
 
     let fit = |variant: &str| {
-        let picked: Vec<&Row> = rows.iter().filter(|r| r.variant == variant).collect();
+        let picked: Vec<&Row> = rows
+            .iter()
+            .filter(|r| r.stream == "hotspot" && r.variant == variant)
+            .collect();
         if picked.len() < 2 {
             "null".to_string()
         } else {
@@ -268,10 +377,12 @@ fn main() {
         }
     };
     let (greedy_fit, express_fit) = (fit("greedy"), fit("express"));
-    println!("scaling exponent (hops ~ N^b): greedy b={greedy_fit}, express b={express_fit}");
+    println!(
+        "scaling exponent on the hotspot stream (hops ~ N^b): greedy b={greedy_fit}, express b={express_fit}"
+    );
 
     let json = format!(
-        "{{\n  \"bench\": \"routing\",\n  \"command\": \"cargo run --release -p geogrid-bench --bin routing_bench\",\n  \"workload\": \"hot-spot stream: 80% of queries target one of 64 fixed hot points in a 2-mile square, 20% uniform, {routes} routes per size, basic-mode networks; variants: greedy mesh walk vs two-phase express-finger routing\",\n  \"scaling_exponent\": {{\n    \"greedy\": {greedy_fit},\n    \"express\": {express_fit}\n  }},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"routing\",\n  \"command\": \"cargo run --release -p geogrid-bench --bin routing_bench\",\n  \"workload\": \"{routes} routes per size and stream, basic-mode networks; streams: hotspot (80% of queries target one of 64 fixed hot points in a 2-mile square, 20% uniform) and uniform (every target of a sweep a fresh uniform point); variants: greedy mesh walk vs two-phase express-finger routing; ns/route is the median of {REPEATS} timed sweeps, with min and max\",\n  \"scaling_exponent\": {{\n    \"stream\": \"hotspot\",\n    \"greedy\": {greedy_fit},\n    \"express\": {express_fit}\n  }},\n  \"results\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
     std::fs::write(&path, json).expect("write BENCH_routing.json");

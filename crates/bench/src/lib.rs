@@ -23,9 +23,8 @@
 //! Two further binaries support protocol work: `simulate` runs a full
 //! message-level deployment (joins, heartbeats, adaptation, optional
 //! crash storm) and reports traffic statistics, coverage, and any
-//! ownership forks; `debug_validate` and `debug_fork` are maintenance
-//! diagnostics that sweep builder validity and hunt the first ownership
-//! fork under load.
+//! ownership forks; `debug_validate` is a maintenance diagnostic that
+//! sweeps builder validity.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,39 +22,25 @@
 //!   ([`RegionId::index`]) replaces the per-query `HashSet` — marking a
 //!   region visited is one store, clearing all marks is one counter bump;
 //! * the hop and candidate `Vec`s are recycled across queries;
-//! * a **two-tier next-hop cache** of dense per-slot `u32` slabs, so a
-//!   warm hop costs two array loads and no hashing. The L1 tier promotes
-//!   *exact destinations* that recur (location queries name concrete
-//!   places, so hot streams repeat exact coordinates) and memoizes each
-//!   source slot's greedy argmin for that point. The L2 tier promotes
-//!   *destination grid cells* and caches, per source slot, the neighbor
-//!   that is the greedy choice for **every** target in the cell. Both
-//!   tiers are capped, so pure-uniform traffic beyond the caps bypasses
-//!   the cache machinery entirely, and both are validated against the
-//!   topology's `(instance_id, epoch)` pair: any split/merge/bootstrap
-//!   bumps the epoch ([`Topology::epoch`]) and flushes them, while
-//!   ownership churn (fail-over, swaps) keeps them warm.
+//! * a **next-hop cache** of dense per-slot `u32` slabs, so a warm hop
+//!   costs two array loads and no hashing. It promotes *exact
+//!   destinations* that recur (location queries name concrete places, so
+//!   hot streams repeat exact coordinates) and memoizes each source slot's
+//!   greedy argmin for that point. Promotion is capped, so pure-uniform
+//!   traffic beyond the cap bypasses the cache machinery entirely, and
+//!   the cache is validated against the topology's `(instance_id, epoch)`
+//!   pair: any split/merge/bootstrap bumps the epoch ([`Topology::epoch`])
+//!   and flushes it, while ownership churn (fail-over, swaps) keeps it
+//!   warm.
 //!
-//! The cell-granular entries stay hop-for-hop exact through interval
-//! arithmetic rather than memoized answers (the greedy argmin depends on
-//! the exact target point, which varies within a cell): when a slab entry
-//! is first derived, the full scan also computes, per neighbor, a lower
-//! bound (rectangle to cell-rectangle distance,
-//! [`Region::distance_to_region`]) and an upper bound (max over the
-//! cell's corners — the distance is convex in the target, so its max over
-//! the cell is at a corner) of its distance to every possible target in
-//! the cell. A neighbor whose lower bound exceeds the smallest upper
-//! bound is *strictly* farther than some other neighbor for every target
-//! in the cell, so it can never be (or tie) the greedy argmin. When
-//! exactly one neighbor survives this filter it is the argmin for every
-//! target in the cell — only then is it cached; otherwise the entry is
-//! marked scan-always and the engine keeps doing full scans there, so the
-//! cached answer reproduces the full scan's `(closest-point distance,
-//! center distance, id)` minimum bit for bit. If the cached neighbor was
-//! already visited this query, the engine falls back to a full unvisited
-//! scan, again matching the reference. [`route_uncached`] keeps the
-//! original allocating implementation as that reference, and a property
-//! test drives both through random topology mutations to prove the
+//! A cached entry is the greedy argmin over **all** neighbors for that
+//! exact target, so the cache needs no geometric proof to stay
+//! hop-for-hop exact: when the cached neighbor is unvisited it is also
+//! the minimum over unvisited neighbors, and when it was already visited
+//! this query the engine falls back to a full unvisited scan, again
+//! matching the reference. [`route_uncached`] keeps the original
+//! allocating implementation as that reference, and a property test
+//! drives both through random topology mutations to prove the
 //! equivalence.
 //!
 //! # The Router facade
@@ -73,9 +59,9 @@
 //! as the verification reference.)
 //!
 //! The cache slabs index slots as `u32` (they were `u16` until the
-//! 65k-slot sentinel ceiling silently disengaged every tier on
+//! 65k-slot sentinel ceiling silently disengaged the cache on
 //! million-region networks); [`RouteScratch`] memory is bounded by a
-//! per-tier slab budget instead of a fixed slab count.
+//! slab budget instead of a fixed slab count.
 //!
 //! # Express links
 //!
@@ -100,9 +86,9 @@
 //!    hop-for-hop identical to [`route_uncached`] from the handoff region
 //!    ([`RouteScratch::express_prefix`] marks the boundary in the trace).
 //!
-//! The express decision is visited-independent, so promoted L1
-//! destinations memoize it per source slot (`target_express` slabs) under
-//! the same `(instance_id, epoch)` validation as the greedy tiers.
+//! The express decision is visited-independent, so promoted destinations
+//! memoize it per source slot (`target_express` slabs) under the same
+//! `(instance_id, epoch)` validation as the greedy slabs.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -132,19 +118,19 @@ impl RoutePath {
     }
 }
 
-/// Memory budget per cache tier, bounding `slab_cap`. One promoted
-/// destination costs `4 × slot_count` bytes per slab, so the per-tier cap
+/// Memory budget of the next-hop slabs, bounding `slab_cap`. One promoted
+/// destination costs `4 × slot_count` bytes per slab, so the cap
 /// shrinks as the network grows: up to 512k slots the historical 64-slab
 /// cap applies unchanged; at 1M slots each slab is 4 MiB and the cap
 /// drops to 32.
-const SLAB_TIER_BUDGET_BYTES: usize = 128 << 20;
+const SLAB_BUDGET_BYTES: usize = 128 << 20;
 
-/// Upper bound on promoted destinations per cache tier at `slots` slots.
+/// Upper bound on promoted destinations at `slots` slots.
 /// Bounds cache memory under uniform traffic (destinations beyond the cap
 /// bypass the cache and just use the scratch buffers); hot-spot streams
 /// promote their few hot targets long before the cap fills.
 fn slab_cap(slots: usize) -> usize {
-    (SLAB_TIER_BUDGET_BYTES / (4 * slots.max(1))).clamp(8, 64)
+    (SLAB_BUDGET_BYTES / (4 * slots.max(1))).clamp(8, 64)
 }
 
 /// Allocates one dense next-hop slab (`SLOT_EMPTY`-filled, one entry per
@@ -184,21 +170,18 @@ const EXPRESS_MAX_HOPS: usize = 64;
 /// Linear probes before the table gives up on a destination.
 const TARGET_TABLE_PROBES: usize = 8;
 
-/// Cell-table entry: this grid cell has no slab yet.
-const ENTRY_EMPTY: u32 = u32::MAX;
-
 /// Slab entry: not yet derived for this `(destination, slot)`.
 const SLOT_EMPTY: u32 = u32::MAX;
 
-/// Slab entry: nothing cacheable from this slot (no single neighbor
-/// dominates the whole cell, or no neighbors at all) — full scan.
+/// Slab entry: nothing cacheable from this slot (no neighbors at all) —
+/// full scan. In the `target_express` slabs: hand off to greedy.
 const SLOT_SCAN: u32 = u32::MAX - 1;
 
-/// Largest slot table the dense tiers index, capped by the `u32` sentinel
+/// Largest slot table the dense slabs index, capped by the `u32` sentinel
 /// values. The slabs were originally `u16`, which silently disengaged
-/// every cache tier beyond 65k slots — the 1M-region sweep paid ~3 µs of
+/// the cache beyond 65k slots — the 1M-region sweep paid ~3 µs of
 /// on-the-fly recomputation per route. At `u32` the ceiling (~4.3B slots)
-/// is past any network this process can hold, so the tiers stay engaged
+/// is past any network this process can hold, so the cache stays engaged
 /// at every evaluated size; `slab_cap` bounds the memory instead.
 const ROUTE_CACHE_MAX_SLOTS: usize = SLOT_SCAN as usize;
 
@@ -224,26 +207,16 @@ const EMPTY_TARGET_SLOT: TargetSlot = TargetSlot {
     state: TSTATE_EMPTY,
 };
 
-/// The two-tier next-hop cache: direct-indexed dense slabs instead of a
-/// hash map, so a warm hop costs two array loads and the working set for
-/// one hot destination is one contiguous `2 × slot_count`-byte array
-/// (see the [module docs](self) for the exactness argument).
+/// The next-hop cache: direct-indexed dense slabs instead of a hash map,
+/// so a warm hop costs two array loads and the working set for one hot
+/// destination is one contiguous `4 × slot_count`-byte array.
 ///
-/// * **L1 — exact destinations.** Location queries name concrete places,
-///   so hot streams repeat exact coordinates. A destination seen twice
-///   gets a slab memoizing, per source slot, the greedy argmin for that
-///   exact point — no geometry proof needed, the key is exact.
-/// * **L2 — destination cells.** For spread-out targets, a promoted grid
-///   cell caches per slot the neighbor that provably wins for *every*
-///   point of the cell (interval-arithmetic filter), falling back to a
-///   full scan where no single neighbor dominates.
+/// Location queries name concrete places, so hot streams repeat exact
+/// coordinates. A destination seen twice gets a slab memoizing, per
+/// source slot, the greedy argmin for that exact point — no geometry
+/// proof needed, the key is exact (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
 struct RouteCache {
-    /// Grid cell → index into `cell_slabs`; `ENTRY_EMPTY` if unpromoted.
-    cell_slab: Vec<u32>,
-    /// Per promoted cell: source slot → cell-dominant neighbor's raw id,
-    /// or one of the `SLOT_*` sentinels.
-    cell_slabs: Vec<Vec<u32>>,
     /// Lossy open-addressed recurrence tracker for exact destinations.
     target_table: Vec<TargetSlot>,
     /// Per promoted exact destination: source slot → that target's greedy
@@ -265,8 +238,6 @@ struct RouteCache {
 
 impl RouteCache {
     fn flush(&mut self) {
-        self.cell_slabs.clear();
-        self.cell_slab.fill(ENTRY_EMPTY);
         self.target_slabs.clear();
         self.target_terminals.clear();
         self.target_express.clear();
@@ -350,7 +321,7 @@ pub struct RouteScratch {
     express_len: usize,
     /// Recycled candidate buffer for randomized routing.
     cand: Vec<RegionId>,
-    /// The promoted-cell next-hop slabs.
+    /// The promoted-destination next-hop slabs.
     cache: RouteCache,
     /// The `(instance_id, epoch)` the cache contents are valid for.
     cache_key: (u64, u64),
@@ -402,7 +373,7 @@ impl RouteScratch {
         self.express_len
     }
 
-    /// Derived next-hop entries across all promoted destination cells.
+    /// Derived next-hop entries across all promoted destinations.
     pub fn cached_entries(&self) -> usize {
         self.cache.entries
     }
@@ -430,21 +401,13 @@ impl RouteScratch {
     }
 
     /// Prepares the scratch for one query against `view`: re-keys the
-    /// cache, resizes the stamp and cell tables, and starts a fresh
+    /// cache, sizes the stamp and recurrence tables, and starts a fresh
     /// visited generation.
     fn begin<V: TopologyView + ?Sized>(&mut self, view: &V) {
         let key = (view.instance_id(), view.epoch());
         if self.cache_key != key {
             self.cache.flush();
             self.cache_key = key;
-        }
-        let cells = view.grid_cell_count();
-        if self.cache.cell_slab.len() != cells {
-            // In-place resize reuses the buffer's capacity across epoch
-            // flushes (`flush` already resets the contents), so re-keying
-            // against a same-sized topology allocates nothing.
-            self.cache.cell_slab.clear();
-            self.cache.cell_slab.resize(cells, ENTRY_EMPTY);
         }
         if self.cache.target_table.is_empty() {
             self.cache
@@ -482,24 +445,6 @@ impl RouteScratch {
     #[inline]
     fn visited(&self, slot: usize) -> bool {
         self.stamps[slot] == self.generation
-    }
-
-    /// Slab index of destination cell `cell`, promoting it (allocating
-    /// its dense per-slot slab) on first use. `None` when the grid is
-    /// uninitialised or the promoted-cell cap is full and `cell` missed
-    /// it — those queries run uncached on the scratch buffers.
-    fn promote_cell(&mut self, cell: usize, slots: usize) -> Option<usize> {
-        let slab = self.cache.cell_slab.get(cell).copied()?;
-        if slab != ENTRY_EMPTY {
-            return Some(slab as usize);
-        }
-        if self.cache.cell_slabs.len() >= slab_cap(slots) {
-            return None;
-        }
-        let idx = self.cache.cell_slabs.len();
-        self.cache.cell_slab[cell] = idx as u32;
-        self.cache.cell_slabs.push(alloc_slab(slots));
-        Some(idx)
     }
 }
 
@@ -570,74 +515,6 @@ fn scan_next_hop<V: TopologyView + ?Sized>(
         }
     }
     (best_all.map(|k| k.2), best_unvisited.map(|k| k.2))
-}
-
-/// The entry-derivation scan: the same full pass as [`scan_next_hop`],
-/// plus the interval bounds that make the entry target-independent. For
-/// each neighbor it takes the minimum (`LB`, rectangle-to-rectangle) and
-/// maximum (`UB`, worst cell corner) possible closest-point distance over
-/// every target in `dest_rect`. A neighbor with `LB > min UB` is strictly
-/// farther than the `UB`-minimizing neighbor for *every* target in the
-/// cell, so it can never be (or tie) the greedy argmin. Returns the slab
-/// entry to store — the sole surviving neighbor's raw id, or
-/// [`SLOT_SCAN`] when no single neighbor dominates the cell — and the
-/// best unvisited neighbor for this query's exact target.
-#[hot_path]
-fn scan_and_filter<V: TopologyView + ?Sized>(
-    view: &V,
-    from_slot: usize,
-    target: Point,
-    dest_rect: &Region,
-    scratch: &RouteScratch,
-) -> (u32, Option<RegionId>) {
-    let corners = [
-        Point::new(dest_rect.x(), dest_rect.y()),
-        Point::new(dest_rect.east(), dest_rect.y()),
-        Point::new(dest_rect.x(), dest_rect.north()),
-        Point::new(dest_rect.east(), dest_rect.north()),
-    ];
-    let mut best_unvisited: Option<(f64, f64, RegionId)> = None;
-    let mut min_ub = f64::INFINITY;
-    for &n in view.neighbors(from_slot) {
-        let slot = n.index();
-        let rect = view.slot_rect(slot);
-        let key = (
-            rect.distance_to_point(target),
-            view.slot_center(slot).distance(target),
-            n,
-        );
-        if !scratch.visited(slot) && best_unvisited.is_none_or(|b| key < b) {
-            best_unvisited = Some(key);
-        }
-        // Distance-to-target is convex in the target, so its max over
-        // the cell rectangle is attained at a corner.
-        let ub = corners
-            .iter()
-            .map(|&c| rect.distance_to_point(c))
-            .fold(0.0, f64::max);
-        min_ub = min_ub.min(ub);
-    }
-    let mut dominant = None;
-    for &n in view.neighbors(from_slot) {
-        if view.slot_rect(n.index()).distance_to_region(dest_rect) <= min_ub {
-            if dominant.is_some() {
-                return (SLOT_SCAN, best_unvisited.map(|k| k.2));
-            }
-            dominant = Some(n);
-        }
-    }
-    let value = match dominant {
-        Some(n) => {
-            debug_assert!(
-                (n.index()) < SLOT_SCAN as usize,
-                "slot collides with sentinel"
-            );
-            n.as_u32()
-        }
-        // No neighbors at all: nothing to dominate, nothing to cache.
-        None => SLOT_SCAN,
-    };
-    (value, best_unvisited.map(|k| k.2))
 }
 
 /// Shared fill of the randomized-routing candidate set: all unvisited
@@ -720,9 +597,9 @@ pub fn next_hop_candidates_into<V: TopologyView + ?Sized>(
 
 /// The greedy engine behind [`Router::route`] with
 /// [`RouteOptions::greedy`] (see the [module docs](self)): no per-query
-/// allocation, and next hops toward recently routed destination cells
-/// come from the epoch-validated cache. Returns the executor; the hop
-/// trace is in [`RouteScratch::hops`].
+/// allocation, and next hops toward recurring destinations come from the
+/// epoch-validated cache. Returns the executor; the hop trace is in
+/// [`RouteScratch::hops`].
 ///
 /// Produces exactly the hops of [`route_uncached`] for every input.
 #[hot_path]
@@ -745,52 +622,34 @@ pub(crate) fn greedy_into<V: TopologyView + ?Sized>(
     let budget = 8 * (view.region_count() as f64).sqrt() as usize + 64;
     let slots = view.slot_count();
     let cacheable = slots < ROUTE_CACHE_MAX_SLOTS;
-    // L1: a destination seen before by its exact coordinates gets a slab
-    // of memoized argmins — no geometry proof needed, the key is exact.
-    let l1 = if cacheable {
+    // A destination seen before by its exact coordinates gets a slab of
+    // memoized argmins — no geometry proof needed, the key is exact.
+    let slab = if cacheable {
         scratch
             .cache
             .promote_target(target.x.to_bits(), target.y.to_bits(), slots)
     } else {
         None
     };
-    // L2: cell entries are only sound for targets inside the cell
-    // rectangle the interval bounds were computed over; grid clamping
-    // maps out-of-range points to edge cells, so re-check containment
-    // instead of trusting the cell number.
-    let l2: Option<(Region, usize)> = if !cacheable || l1.is_some() {
-        None
-    } else {
-        let dest_cell = view.grid_cell_of(target) as usize;
-        view.grid_cell_rect(dest_cell as u32)
-            .filter(|r| r.contains_closed(target))
-            .and_then(|rect| {
-                scratch
-                    .promote_cell(dest_cell, slots)
-                    .map(|slab| (rect, slab))
-            })
-    };
     scratch.hops.push(from);
     scratch.visit(from.index());
-    greedy_loop(view, from, target, scratch, l1, l2, budget, 0)
+    greedy_loop(view, from, target, scratch, slab, budget, 0)
 }
 
 /// The greedy mesh walk shared by [`greedy_into`] (whole route, `base` 0)
 /// and [`express_into`] (last mile, `base` = express prefix length):
-/// termination test, hop budget relative to `base`, and the three-arm
-/// cache match per hop. The caller has already pushed and visited
-/// `current`; the express prefix before `base` carries no visited marks,
-/// so from the handoff on this walk sees exactly the state
-/// [`route_uncached`] would build starting there.
+/// termination test, hop budget relative to `base`, and the two-arm
+/// cache match per hop (promoted slab, or a plain scan). The caller has
+/// already pushed and visited `current`; the express prefix before
+/// `base` carries no visited marks, so from the handoff on this walk
+/// sees exactly the state [`route_uncached`] would build starting there.
 #[hot_path]
-#[allow(clippy::too_many_arguments)]
 fn greedy_loop<V: TopologyView + ?Sized>(
     view: &V,
     mut current: RegionId,
     target: Point,
     scratch: &mut RouteScratch,
-    l1: Option<usize>,
-    l2: Option<(Region, usize)>,
+    slab: Option<usize>,
     budget: usize,
     base: usize,
 ) -> Result<RegionId, CoreError> {
@@ -800,9 +659,9 @@ fn greedy_loop<V: TopologyView + ?Sized>(
             return Err(CoreError::UnknownRegion(current));
         }
         // Termination. The region covering `target` is unique and stable
-        // within an epoch, so on the L1 path its slot is memoized and the
-        // per-hop rectangle test collapses into one integer compare.
-        let covered = if let Some(slab) = l1 {
+        // within an epoch, so on the cached path its slot is memoized and
+        // the per-hop rectangle test collapses into one integer compare.
+        let covered = if let Some(slab) = slab {
             match scratch.cache.target_terminals[slab] {
                 SLOT_EMPTY => {
                     let covered = view.covers(slot, target);
@@ -826,35 +685,18 @@ fn greedy_loop<V: TopologyView + ?Sized>(
             scratch.hops.push(executor);
             return Ok(executor);
         }
-        // A cached neighbor — from either tier — is the greedy argmin
-        // over ALL neighbors (for this exact target in L1, for every
-        // target of the cell in L2); when it is unvisited it is also the
-        // minimum over unvisited neighbors, so following it is exactly
-        // what the uncached scan would do. A visited one falls back to
-        // the full unvisited scan, again matching the reference.
-        let next = if let Some(slab) = l1 {
+        // A cached neighbor is the greedy argmin over ALL neighbors for
+        // this exact target; when it is unvisited it is also the minimum
+        // over unvisited neighbors, so following it is exactly what the
+        // uncached scan would do. A visited one falls back to the full
+        // unvisited scan, again matching the reference.
+        let next = if let Some(slab) = slab {
             scratch.lookups += 1;
             match scratch.cache.target_slabs[slab][slot] {
                 SLOT_EMPTY => {
                     let (best_all, best_unvisited) = scan_next_hop(view, slot, target, scratch);
                     scratch.cache.target_slabs[slab][slot] =
                         best_all.map_or(SLOT_SCAN, |r| r.as_u32());
-                    scratch.cache.entries += 1;
-                    best_unvisited
-                }
-                raw if raw < SLOT_SCAN && !scratch.visited(raw as usize) => {
-                    scratch.hits += 1;
-                    Some(RegionId::new(raw))
-                }
-                _ => scan_next_hop(view, slot, target, scratch).1,
-            }
-        } else if let Some((dest_rect, slab)) = l2 {
-            scratch.lookups += 1;
-            match scratch.cache.cell_slabs[slab][slot] {
-                SLOT_EMPTY => {
-                    let (value, best_unvisited) =
-                        scan_and_filter(view, slot, target, &dest_rect, scratch);
-                    scratch.cache.cell_slabs[slab][slot] = value;
                     scratch.cache.entries += 1;
                     best_unvisited
                 }
@@ -978,24 +820,12 @@ pub(crate) fn express_into<V: TopologyView + ?Sized>(
     let budget = 8 * (view.region_count() as f64).sqrt() as usize + 64;
     let slots = view.slot_count();
     let cacheable = slots < ROUTE_CACHE_MAX_SLOTS;
-    let l1 = if cacheable {
+    let slab = if cacheable {
         scratch
             .cache
             .promote_target(target.x.to_bits(), target.y.to_bits(), slots)
     } else {
         None
-    };
-    let l2: Option<(Region, usize)> = if !cacheable || l1.is_some() {
-        None
-    } else {
-        let dest_cell = view.grid_cell_of(target) as usize;
-        view.grid_cell_rect(dest_cell as u32)
-            .filter(|r| r.contains_closed(target))
-            .and_then(|rect| {
-                scratch
-                    .promote_cell(dest_cell, slots)
-                    .map(|slab| (rect, slab))
-            })
     };
     let floor = view.finger_base();
     let mut current = from;
@@ -1006,7 +836,7 @@ pub(crate) fn express_into<V: TopologyView + ?Sized>(
     // and the decay guarantee already rules out express loops.
     let mut express_hops = 0usize;
     while express_hops < EXPRESS_MAX_HOPS {
-        let next = if let Some(slab) = l1 {
+        let next = if let Some(slab) = slab {
             scratch.lookups += 1;
             match scratch.cache.target_express[slab][current.index()] {
                 SLOT_EMPTY => {
@@ -1037,7 +867,7 @@ pub(crate) fn express_into<V: TopologyView + ?Sized>(
     scratch.express_len = express_hops;
     // Phase 2: the unmodified greedy engine finishes the last mile.
     scratch.visit(current.index());
-    greedy_loop(view, current, target, scratch, l1, l2, budget, express_hops)
+    greedy_loop(view, current, target, scratch, slab, budget, express_hops)
 }
 
 /// Like [`greedy_into`], but at each step picks uniformly at random among
@@ -1644,6 +1474,34 @@ mod tests {
                 }
             }
         }
+        assert!(router.hit_rate() > 0.0, "warm round never hit the cache");
+    }
+
+    #[test]
+    fn cache_beyond_slab_cap_matches_uncached_reference() {
+        // 128 regions, so all-pairs traffic recurs on twice as many exact
+        // targets as the cache may promote: half get slabs, the rest are
+        // refused and must still route exactly.
+        let t = grid_topology(7);
+        let ids: Vec<RegionId> = t.region_ids().collect();
+        let cap = slab_cap(t.slot_count());
+        assert!(ids.len() > cap, "{} targets vs cap {cap}", ids.len());
+        let mut router = Router::new();
+        for _round in 0..2 {
+            for &from in &ids {
+                for &to in &ids {
+                    let target = t.region(to).unwrap().region().center();
+                    let reference = route_uncached(&t, from, target).unwrap();
+                    let executor = router
+                        .route(&t, from, target, &RouteOptions::greedy())
+                        .unwrap();
+                    assert_eq!(executor, reference.executor);
+                    assert_eq!(router.hops(), &reference.hops[..]);
+                    assert!(router.scratch.cache.target_slabs.len() <= cap);
+                }
+            }
+        }
+        assert_eq!(router.scratch.cache.target_slabs.len(), cap);
         assert!(router.hit_rate() > 0.0, "warm round never hit the cache");
     }
 

@@ -144,21 +144,6 @@ impl GridIndex {
         (((y - self.origin_y) / self.cell_h) as usize).min(GRID_DIM - 1)
     }
 
-    /// Closed rectangle of cell `i` (row-major, as numbered by
-    /// [`Self::cell_of`]). Every point mapping into the cell lies within
-    /// this rectangle (boundary points map to an adjacent cell whose
-    /// rectangle also touches them), which is what lets the routing
-    /// cache bound neighbor distances over a whole destination cell.
-    fn cell_rect(&self, i: usize) -> Region {
-        let (row, col) = (i / GRID_DIM, i % GRID_DIM);
-        Region::new(
-            self.origin_x + col as f64 * self.cell_w,
-            self.origin_y + row as f64 * self.cell_h,
-            self.cell_w,
-            self.cell_h,
-        )
-    }
-
     /// Inclusive `(col_lo, col_hi, row_lo, row_hi)` span of the closed
     /// rectangle of `r`.
     fn span(&self, r: &Region) -> (usize, usize, usize, usize) {
@@ -525,32 +510,6 @@ impl Topology {
     pub fn finger_base(&self) -> f64 {
         let b = self.space().bounds();
         b.width().max(b.height()) / 1024.0
-    }
-
-    /// Row-major index (in `[0, 128²)`) of the spatial-index cell
-    /// containing `p` — the destination key of the per-source route cache.
-    /// Returns 0 when the topology has no space yet.
-    #[inline]
-    #[hot_path]
-    pub fn grid_cell_of(&self, p: Point) -> u32 {
-        if self.grid.cells.is_empty() {
-            return 0;
-        }
-        self.grid.cell_of(p) as u32
-    }
-
-    /// Number of grid-index cells (0 until the grid is initialised).
-    pub fn grid_cell_count(&self) -> usize {
-        self.grid.cells.len()
-    }
-
-    /// Closed rectangle of grid cell `cell` (as numbered by
-    /// [`Self::grid_cell_of`]); `None` until the grid is initialised.
-    pub fn grid_cell_rect(&self, cell: u32) -> Option<Region> {
-        if self.grid.cells.is_empty() {
-            return None;
-        }
-        Some(self.grid.cell_rect(cell as usize))
     }
 
     /// Number of registered nodes (assigned or not).
@@ -1882,19 +1841,6 @@ impl TopologyView for Topology {
     #[inline]
     fn finger_base(&self) -> f64 {
         Topology::finger_base(self)
-    }
-
-    #[inline]
-    fn grid_cell_of(&self, p: Point) -> u32 {
-        Topology::grid_cell_of(self, p)
-    }
-
-    fn grid_cell_count(&self) -> usize {
-        Topology::grid_cell_count(self)
-    }
-
-    fn grid_cell_rect(&self, cell: u32) -> Option<Region> {
-        Topology::grid_cell_rect(self, cell)
     }
 
     fn locate(&self, p: Point) -> Result<RegionId, CoreError> {
